@@ -1130,16 +1130,14 @@ pub fn run_distributed_until_converged<T: Scalar + Wire>(
             for s in 0..max_steps {
                 let t = compiled.max_dt + s;
                 let out_slot = window.output_slot(t);
-                let prev_slot = window.input_slot(t, 1)?;
-                let prev = ring[prev_slot].clone();
                 let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
-                {
-                    let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                        .map(|dt| window.input_slot(t, dt).map(|slot| &ring[slot]))
-                        .collect::<Result<_>>()?;
-                    tiled::step(&compiled, &plan, &inputs, &mut out);
-                }
-                // Local squared update, reduced globally.
+                let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
+                    .map(|dt| window.input_slot(t, dt).map(|slot| &ring[slot]))
+                    .collect::<Result<_>>()?;
+                tiled::step(&compiled, &plan, &inputs, &mut out);
+                // Local squared update against the t-1 state, reduced
+                // globally.
+                let prev = inputs[0];
                 let mut local_sq = 0.0;
                 out.for_each_interior(|pos| {
                     let d = out.get(pos).to_f64() - prev.get(pos).to_f64();

@@ -4,13 +4,12 @@
 //! tolerance.
 
 use crate::boundary::Boundary;
-use crate::tier::TieredStencil;
-use crate::driver::Executor;
+use crate::driver::{Executor, WindowRing};
 use crate::grid::{Grid, Scalar};
+use crate::tier::TieredStencil;
 use crate::{boundary, reference, tiled};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
-use msc_core::schedule::WindowPlan;
 
 /// Norms over the interior difference of two grids.
 pub fn l2_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
@@ -66,56 +65,39 @@ pub fn run_until_converged<T: Scalar>(
         _ => crate::tier::exec_tier(),
     };
     let compiled = TieredStencil::compile(program, init, tier)?;
-    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, bc);
-    let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| seeded.clone()).collect();
+    let mut ring = WindowRing::new(init, bc, compiled.max_dt)?;
     let mut history = Vec::new();
 
-    for s in 0..max_steps {
-        let t = compiled.max_dt + s;
-        let out_slot = window.output_slot(t);
-        let prev_slot = window.input_slot(t, 1).expect("window has t-1");
-        let prev = ring[prev_slot].clone();
-        let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
-        {
-            let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| &ring[window.input_slot(t, dt).expect("window fits")])
-                .collect();
-            match executor {
-                Executor::Reference => reference::step(&compiled, &inputs, &mut out),
-                Executor::Tiled(plan) => {
-                    tiled::step(&compiled, plan, &inputs, &mut out);
-                }
-                Executor::Spm { plan, spm_capacity } => {
-                    crate::spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
-                }
+    let mut steps = 0;
+    loop {
+        let t = ring.timestep(steps);
+        let mut out = ring.take_output(t);
+        let inputs = ring.inputs(t);
+        match executor {
+            Executor::Reference => reference::step(&compiled, &inputs, &mut out),
+            Executor::Tiled(plan) => {
+                tiled::step(&compiled, plan, &inputs, &mut out);
+            }
+            Executor::Spm { plan, spm_capacity } => {
+                crate::spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
             }
         }
         boundary::apply(&mut out, bc);
-        let residual = l2_diff(&out, &prev);
+        // `inputs[0]` is the t-1 state.
+        let residual = l2_diff(&out, inputs[0]);
         history.push(residual);
-        ring[out_slot] = out;
-        if residual < tol {
-            let state = ring.swap_remove(out_slot);
+        ring.put(t, out);
+        steps += 1;
+        if residual < tol || steps == max_steps {
             return Ok(ConvergenceReport {
-                state,
-                steps: s + 1,
+                state: ring.into_state(t),
+                steps,
                 final_residual: residual,
                 history,
-                converged: true,
+                converged: residual < tol,
             });
         }
     }
-    let last = window.output_slot(compiled.max_dt + max_steps - 1);
-    let final_residual = *history.last().unwrap();
-    Ok(ConvergenceReport {
-        state: ring.swap_remove(last),
-        steps: max_steps,
-        final_residual,
-        history,
-        converged: false,
-    })
 }
 
 #[cfg(test)]

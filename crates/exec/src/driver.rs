@@ -2,6 +2,8 @@
 //! buffers (paper Figure 5) and dispatches each step to the selected
 //! executor.
 
+use std::borrow::Cow;
+
 use crate::boundary::{self, Boundary};
 use crate::grid::{Grid, Scalar};
 use crate::tier::{exec_tier, ExecTier, TieredStencil};
@@ -78,6 +80,80 @@ impl RunStats {
     }
 }
 
+/// The sliding time window's state buffers (paper Figure 5).
+///
+/// Every slot starts out aliasing the seed, the boundary-applied initial
+/// state: `init` itself under Dirichlet boundaries, one owned copy under
+/// periodic ones. A slot gets its own buffer, a copy of the seed, only
+/// when it is first written, so a Dirichlet run owns `window` grids, and
+/// a run shorter than the window fewer.
+pub(crate) struct WindowRing<'a, T: Clone> {
+    plan: WindowPlan,
+    max_dt: usize,
+    seed: Cow<'a, Grid<T>>,
+    /// `None`: the slot still holds the seed.
+    slots: Vec<Option<Grid<T>>>,
+}
+
+impl<'a, T: Scalar> WindowRing<'a, T> {
+    pub(crate) fn new(init: &'a Grid<T>, bc: Boundary, max_dt: usize) -> Result<Self> {
+        let plan = WindowPlan::for_max_dt(max_dt)?;
+        let seed = match bc {
+            Boundary::Dirichlet => Cow::Borrowed(init),
+            Boundary::Periodic => {
+                let mut g = init.clone();
+                boundary::apply(&mut g, bc);
+                Cow::Owned(g)
+            }
+        };
+        Ok(WindowRing {
+            slots: (0..plan.window).map(|_| None).collect(),
+            plan,
+            max_dt,
+            seed,
+        })
+    }
+
+    /// Logical timestep that step `s` (counted from 0) computes.
+    pub(crate) fn timestep(&self, s: usize) -> usize {
+        self.max_dt + s
+    }
+
+    /// Take the buffer timestep `t` is written into: the slot's own
+    /// buffer, or a fresh copy of the seed on the slot's first write.
+    /// Return it with [`WindowRing::put`].
+    pub(crate) fn take_output(&mut self, t: usize) -> Grid<T> {
+        self.slots[self.plan.output_slot(t)]
+            .take()
+            .unwrap_or_else(|| self.seed.as_ref().clone())
+    }
+
+    /// The states `t - 1 ..= t - max_dt`, nearest first. The window is
+    /// wider than `max_dt`, so none of them is `t`'s output slot.
+    pub(crate) fn inputs(&self, t: usize) -> Vec<&Grid<T>> {
+        (1..=self.max_dt).map(|dt| self.slot(t - dt)).collect()
+    }
+
+    /// Store the state computed for timestep `t`.
+    pub(crate) fn put(&mut self, t: usize, out: Grid<T>) {
+        self.slots[self.plan.output_slot(t)] = Some(out);
+    }
+
+    /// The state of timestep `t`, consuming the ring.
+    pub(crate) fn into_state(mut self, t: usize) -> Grid<T> {
+        match self.slots[self.plan.slot_of(t)].take() {
+            Some(g) => g,
+            None => self.seed.into_owned(),
+        }
+    }
+
+    fn slot(&self, t: usize) -> &Grid<T> {
+        self.slots[self.plan.slot_of(t)]
+            .as_ref()
+            .unwrap_or(self.seed.as_ref())
+    }
+}
+
 /// Run `program.timesteps` updates starting from `init` (all window slots
 /// cold-started with `init`), with Dirichlet boundaries (halos keep their
 /// initial values). Returns the final state and run statistics.
@@ -128,42 +204,31 @@ pub fn run_program_tier<T: Scalar>(
     // Compile time goes to the global tracer only: `RunStats` must stay
     // bit-identical between repeated runs, and wall-clock isn't.
     msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
-    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, boundary_cond);
-    let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| seeded.clone()).collect();
+    let mut ring = WindowRing::new(init, boundary_cond, compiled.max_dt)?;
 
     for s in 0..program.timesteps {
         let _step_span = msc_trace::span_arg("step", s as u64);
         let step_t0 = std::time::Instant::now();
-        let t = compiled.max_dt + s;
-        let out_slot = window.output_slot(t);
-
-        // Split the ring so the output slot is mutable while input slots
-        // stay shared.
-        let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
-        {
-            let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| &ring[window.input_slot(t, dt).expect("window sized by max_dt")])
-                .collect();
-            match executor {
-                Executor::Reference => {
-                    reference::step(&compiled, &inputs, &mut out);
-                    counters.bump(Counter::TilesExecuted, 1);
-                    msc_trace::record(Counter::TilesExecuted, 1);
-                }
-                Executor::Tiled(plan) => {
-                    let tiles = tiled::step(&compiled, plan, &inputs, &mut out) as u64;
-                    counters.bump(Counter::TilesExecuted, tiles);
-                }
-                Executor::Spm { plan, spm_capacity } => {
-                    let s = spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
-                    counters.merge(&s.counters());
-                }
+        let t = ring.timestep(s);
+        let mut out = ring.take_output(t);
+        let inputs = ring.inputs(t);
+        match executor {
+            Executor::Reference => {
+                reference::step(&compiled, &inputs, &mut out);
+                counters.bump(Counter::TilesExecuted, 1);
+                msc_trace::record(Counter::TilesExecuted, 1);
+            }
+            Executor::Tiled(plan) => {
+                let tiles = tiled::step(&compiled, plan, &inputs, &mut out) as u64;
+                counters.bump(Counter::TilesExecuted, tiles);
+            }
+            Executor::Spm { plan, spm_capacity } => {
+                let s = spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
+                counters.merge(&s.counters());
             }
         }
         boundary::apply(&mut out, boundary_cond);
-        ring[out_slot] = out;
+        ring.put(t, out);
         let (vm_d, spec_rows) = compiled.take_tier_counters();
         if vm_d > 0 {
             counters.bump(Counter::VmDispatches, vm_d);
@@ -184,8 +249,8 @@ pub fn run_program_tier<T: Scalar>(
         );
     }
 
-    let last = window.output_slot(compiled.max_dt + program.timesteps - 1);
-    Ok((ring.swap_remove(last), RunStats::from_counters(&counters)))
+    let last = ring.timestep(program.timesteps) - 1;
+    Ok((ring.into_state(last), RunStats::from_counters(&counters)))
 }
 
 #[cfg(test)]
@@ -237,7 +302,95 @@ mod tests {
         assert!(st.spm_peak_bytes > 0);
     }
 
+    /// The keep-everything scheme of paper Figure 5(b): one buffer per
+    /// timestep, no ring, stepped by the serial interpreter.
+    fn keep_everything<T: Scalar>(p: &StencilProgram, init: &Grid<T>, bc: Boundary) -> Grid<T> {
+        let c = crate::CompiledStencil::compile(p, init).unwrap();
+        let mut seed = init.clone();
+        boundary::apply(&mut seed, bc);
+        let mut states = vec![seed.clone(); c.max_dt];
+        for _ in 0..p.timesteps {
+            let mut out = seed.clone();
+            let inputs: Vec<&Grid<T>> = states.iter().rev().take(c.max_dt).collect();
+            reference::step(&c, &inputs, &mut out);
+            boundary::apply(&mut out, bc);
+            states.push(out);
+        }
+        states.pop().unwrap()
+    }
+
     #[test]
+    fn window_ring_matches_keep_everything_for_every_executor() {
+        // Listing 1's t-1/t-2 combination: window 3. One step, fewer steps
+        // than the window (slots still aliasing the seed) and more (every
+        // slot recycled), under both boundary conditions.
+        let b = benchmark(BenchmarkId::S2d9ptStar);
+        let shape = [8, 10];
+        for timesteps in [1, 2, 7] {
+            let p = b.program(&shape, DType::F64, timesteps).unwrap();
+            assert_eq!(p.stencil.max_dt(), 2);
+            let plan = tiled_plan(&p, &[4, 5], 2);
+            let executors = [
+                Executor::Reference,
+                Executor::Tiled(plan.clone()),
+                Executor::Spm {
+                    plan,
+                    spm_capacity: 1 << 20,
+                },
+            ];
+            for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+                let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 5);
+                let before = init.clone();
+                let oracle = keep_everything(&p, &init, bc);
+                for exec in &executors {
+                    for tier in [ExecTier::Interp, ExecTier::Auto] {
+                        let (out, st) = run_program_tier(&p, exec, &init, bc, tier).unwrap();
+                        assert_eq!(
+                            out.as_slice(),
+                            oracle.as_slice(),
+                            "{exec:?} {bc:?} {tier:?} {timesteps} steps"
+                        );
+                        assert_eq!(st.steps, timesteps);
+                    }
+                }
+                assert_eq!(init, before, "the run mutated init");
+            }
+        }
+    }
+
+    #[test]
+    fn ring_aliases_the_seed_until_a_slot_is_written() {
+        let mut init: Grid<f64> = Grid::random(&[5, 6], &[1, 1], 3);
+        // A halo cell that a periodic wrap overwrites.
+        init.as_mut_slice()[1] = -1.0;
+        let before = init.clone();
+
+        let ring = WindowRing::new(&init, Boundary::Dirichlet, 2).unwrap();
+        let t = ring.timestep(0);
+        assert!(ring.inputs(t).iter().all(|g| std::ptr::eq(*g, &init)));
+
+        let mut ring = WindowRing::new(&init, Boundary::Periodic, 2).unwrap();
+        let mut wrapped = init.clone();
+        boundary::apply(&mut wrapped, Boundary::Periodic);
+        assert_ne!(wrapped, init);
+        let t = ring.timestep(0);
+        for g in ring.inputs(t) {
+            assert!(!std::ptr::eq(g, &init));
+            assert_eq!(*g, wrapped, "inputs must see the wrapped seed");
+        }
+        // The first write takes a fresh copy of the wrapped seed, never
+        // the seed itself.
+        let mut out = ring.take_output(t);
+        assert_eq!(out, wrapped);
+        out.as_mut_slice().fill(7.0);
+        ring.put(t, out);
+        assert!(ring.inputs(t + 1)[0].as_slice().iter().all(|&v| v == 7.0));
+        assert!(ring.into_state(t).as_slice().iter().all(|&v| v == 7.0));
+        assert_eq!(init, before);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // the whole catalog is too slow under Miri
     fn paper_error_bounds_hold_for_all_benchmarks() {
         // §5.1: relative error < 1e-10 (fp64) and < 1e-5 (fp32) against
         // serial codes, over a multi-step run.

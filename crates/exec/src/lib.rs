@@ -31,6 +31,7 @@ pub mod convergence;
 pub mod compiled;
 pub mod driver;
 pub mod grid;
+mod hugepage;
 pub mod io;
 pub mod pool;
 pub mod reference;

@@ -8,11 +8,13 @@
 //! interpreter run proves the tiling itself is exact, and the VM /
 //! specialized runs prove each lowering preserves the interpreter's
 //! evaluation order exactly (order of taps, order of terms, two-rounding
-//! multiply-add).
+//! multiply-add). The specialized tier runs once per row ISA the host
+//! supports: the baseline instantiation and, where detected, AVX2.
 
 use msc_core::catalog::all_benchmarks;
 use msc_core::prelude::*;
 use msc_core::schedule::Schedule;
+use msc_exec::specialized::{with_row_isa, RowIsa};
 use msc_exec::{
     run_program, run_program_tier, Boundary, ExecTier, Executor, Grid, RunStats, Scalar,
 };
@@ -37,6 +39,14 @@ fn run_tier<T: Scalar>(
 }
 
 fn differential_catalog<T: Scalar>(seed: u64) {
+    for isa in [RowIsa::Baseline, RowIsa::Avx2] {
+        if with_row_isa(isa, || differential_catalog_on::<T>(seed, isa)).is_none() {
+            println!("skipping {isa} rows: this host does not support {isa}");
+        }
+    }
+}
+
+fn differential_catalog_on<T: Scalar>(seed: u64, isa: RowIsa) {
     for b in all_benchmarks() {
         let p = b.program(&b.test_grid(), DType::F64, STEPS).unwrap();
         let init: Grid<T> = Grid::random(&p.grid.shape, &p.grid.halo, seed);
@@ -60,7 +70,7 @@ fn differential_catalog<T: Scalar>(seed: u64) {
         assert_eq!(
             spec.as_slice(),
             oracle.as_slice(),
-            "{}: specialized tier differs from interpreter",
+            "{}: specialized tier ({isa} rows) differs from interpreter",
             b.name
         );
 

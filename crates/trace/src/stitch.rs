@@ -347,10 +347,16 @@ mod json {
         }
     }
 
+    /// Nesting cap: the parser recurses once per `[`/`{` level, so hostile
+    /// input like `"[".repeat(1 << 20)` would otherwise overflow the stack
+    /// (an abort, not an `Err`). Same limit as `msc_bench::results`.
+    const MAX_DEPTH: usize = 512;
+
     pub fn parse(src: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -363,6 +369,8 @@ mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Containers currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -392,8 +400,8 @@ mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -401,6 +409,22 @@ mod json {
                 Some(_) => self.number(),
                 None => Err("unexpected end of input".into()),
             }
+        }
+
+        fn nested(
+            &mut self,
+            container: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let v = container(self);
+            self.depth -= 1;
+            v
         }
 
         fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -645,6 +669,17 @@ mod tests {
 
         assert!(validate_chrome_json("not json").is_err());
         assert!(validate_chrome_json("{}").is_err());
+    }
+
+    #[test]
+    fn validator_rejects_hostile_nesting_without_overflowing() {
+        let err = validate_chrome_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 512"), "{err}");
+        // The cap counts open containers, not bytes.
+        let deep_ok = format!("{}{}", "[".repeat(512), "]".repeat(512));
+        assert!(json::parse(&deep_ok).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(513), "]".repeat(513));
+        assert!(json::parse(&too_deep).is_err());
     }
 
     #[test]

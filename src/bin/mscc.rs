@@ -1401,14 +1401,14 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         // (Auto may have degraded, e.g. an off-menu shape falling back to
         // the VM), not from what was requested.
         let tier = if stats.specialized_hits() > 0 {
-            "specialized"
+            format!("specialized tier, {} rows", msc::exec::specialized::row_isa())
         } else if stats.vm_dispatches() > 0 {
-            "vm"
+            "vm tier".to_string()
         } else {
-            "interp"
+            "interp tier".to_string()
         };
         println!(
-            "ran {} steps in {:.1} ms ({} tiles, {tier} tier); interior checksum {:.6e}",
+            "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",
             stats.steps,
             dt.as_secs_f64() * 1e3,
             stats.tiles_executed,

@@ -25,6 +25,9 @@ fn compiles_run_verifies_and_emits() {
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("compiled `wave2d`"));
     assert!(stdout.contains("verified vs serial reference: max rel err 0.00e0"));
+    // The banner names the row ISA the specialized tier ran on.
+    let isa = msc::exec::specialized::row_isa();
+    assert!(stdout.contains(&format!("specialized tier, {isa} rows")), "{stdout}");
     assert!(stdout.contains("simulated on"));
     assert!(dir.join("main.c").exists());
     assert!(dir.join("Makefile").exists());
