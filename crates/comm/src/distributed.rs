@@ -41,8 +41,8 @@ pub struct CommStats {
     pub steps: usize,
     pub ranks: usize,
     /// How many times the run was restarted from a checkpoint (or from
-    /// the initial state) after a detected rank failure. Zero for plain
-    /// drivers; only [`run_distributed_resilient`] can restart.
+    /// the initial state) after a detected rank failure. Always zero
+    /// when [`RunOptions::max_restarts`] is zero.
     pub restarts: usize,
     /// How many dead ranks were healed *online* — a hot spare adopted
     /// the subdomain from a buddy snapshot while survivors rolled back
@@ -121,35 +121,6 @@ fn scatter<T: Scalar>(global: &Grid<T>, decomp: &CartDecomp, rank: usize) -> Gri
     local
 }
 
-/// Run `program` over a `procs` Cartesian process grid, starting from the
-/// global `init` grid, with Dirichlet boundaries. `make_plan` builds the
-/// per-rank execution plan for the sub-grid shape. Returns the gathered
-/// global result and stats.
-pub fn run_distributed<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    run_distributed_bc(program, procs, init, Boundary::Dirichlet, make_plan)
-}
-
-/// Like [`run_distributed`] with an explicit boundary condition. Under
-/// periodic boundaries the process grid becomes a torus: boundary ranks
-/// exchange with the opposite side (single-process dimensions wrap onto
-/// themselves through self-messages).
-pub fn run_distributed_bc<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    bc: Boundary,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    let decomp = build_decomp(program, procs, bc)?;
-    let exchanger = HaloExchange::new(decomp);
-    run_distributed_with(program, init, bc, &exchanger, make_plan)
-}
-
 /// Build and validate the decomposition for a program/process-grid pair.
 pub fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> Result<CartDecomp> {
     let reach = program.stencil.reach();
@@ -168,40 +139,39 @@ pub fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> 
     Ok(decomp)
 }
 
-/// Run with a caller-supplied halo-exchange backend (the paper's
-/// pluggable-library design: swap MSC's asynchronous exchanger for a
-/// GCL-style one without touching the driver).
-pub fn run_distributed_with<T: Scalar + Wire, B: crate::backend::HaloBackend>(
-    program: &StencilProgram,
-    init: &Grid<T>,
-    bc: Boundary,
-    exchanger: &B,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    run_distributed_exec(program, init, bc, exchanger, None, make_plan)
+/// Check that `decomp` is the decomposition [`build_decomp`] would build
+/// for `program` under `bc`: same global shape, same halo reach, and a
+/// torus exactly when the boundary is periodic. A mismatch would seed the
+/// halos one way and exchange them another, so it is a typed error.
+fn check_decomp(program: &StencilProgram, decomp: &CartDecomp, bc: Boundary) -> Result<()> {
+    if decomp.global != program.grid.shape {
+        return Err(MscError::InvalidConfig(format!(
+            "decomposition global shape {:?} != program grid {:?}",
+            decomp.global, program.grid.shape
+        )));
+    }
+    let reach = program.stencil.reach();
+    if decomp.reach != reach {
+        return Err(MscError::InvalidConfig(format!(
+            "decomposition reach {:?} != stencil reach {:?}",
+            decomp.reach, reach
+        )));
+    }
+    let periodic = bc == Boundary::Periodic;
+    if decomp.periodic.iter().any(|&p| p != periodic) {
+        return Err(MscError::InvalidConfig(format!(
+            "decomposition periodicity {:?} disagrees with {bc:?} boundary",
+            decomp.periodic
+        )));
+    }
+    Ok(())
 }
 
-/// Like [`run_distributed_with`], with each rank staging its tiles
-/// through a bounded SPM when `spm_capacity` is given (the full
-/// large-scale Sunway code path: DMA-staged tiles + asynchronous halo
-/// exchange).
-pub fn run_distributed_exec<T: Scalar + Wire, B: crate::backend::HaloBackend>(
-    program: &StencilProgram,
-    init: &Grid<T>,
-    bc: Boundary,
-    exchanger: &B,
-    spm_capacity: Option<usize>,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    // Legacy entry point: no chaos, no checkpoints, no restarts.
-    let opts = RunOptions {
-        max_restarts: 0,
-        ..RunOptions::default()
-    };
-    run_distributed_opts(program, init, bc, exchanger, spm_capacity, &opts, make_plan)
-}
-
-/// Fault-tolerance options for [`run_distributed_resilient`].
+/// Options for [`run_distributed_opts`]: fault tolerance (chaos,
+/// checkpoints, restarts, hot spares), compute/communication overlap,
+/// the execution tier and the telemetry hub. The default is a plain
+/// overlapped run on the `Auto` tier that may restart up to three times
+/// after a communication fault.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Seeded chaos plan injected into every rank's channel layer; also
@@ -302,25 +272,6 @@ fn split_tiles(
         }
     }
     (boundary, interior)
-}
-
-/// Fault-tolerant distributed run: chaos injection, reliable halo
-/// delivery, periodic checkpoints, hot-spare online recovery, and
-/// restart-on-failure as the last resort. With default options it
-/// behaves exactly like [`run_distributed_bc`].
-pub fn run_distributed_resilient<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    bc: Boundary,
-    opts: &RunOptions,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    // Lint gate (target-independent passes) before any rank spawns.
-    msc_lint::check_deny(program, None)?;
-    let decomp = build_decomp(program, procs, bc)?;
-    let exchanger = HaloExchange::new(decomp);
-    run_distributed_opts(program, init, bc, &exchanger, None, opts, make_plan)
 }
 
 /// Is this error a communication fault a restart could heal (a killed or
@@ -869,13 +820,23 @@ fn rank_body<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     }
 }
 
-/// The full driver: every public `run_distributed*` entry point funnels
-/// here. One attempt spawns the world (compute ranks plus hot spares),
-/// runs the time loop with optional SPM staging, chaos injection, and
-/// periodic disk + buddy checkpoints; a rank death in a membership
-/// world heals online (spare adoption + global rollback), and a failed
-/// attempt (typed communication error — never a panic) is retried from
-/// the latest complete checkpoint up to `opts.max_restarts` times.
+/// Run `program` over the process grid of `exchanger`'s decomposition
+/// (build it with [`build_decomp`]), starting from the global `init`
+/// grid. `make_plan` builds the per-rank execution plan for the sub-grid
+/// shape; `spm_capacity` stages every rank's tiles through a bounded SPM
+/// (the full Sunway path: DMA-staged tiles + asynchronous halo exchange).
+/// Under periodic boundaries the process grid is a torus. The
+/// decomposition must be the one `build_decomp(program, procs, bc)`
+/// builds (shape, reach and periodicity are checked; a mismatch is
+/// `InvalidConfig`). Returns the gathered global result and stats.
+///
+/// The program passes the lint gate before any rank spawns. One attempt
+/// spawns the world (compute ranks plus hot spares), runs the time loop
+/// with chaos injection and periodic disk + buddy checkpoints as `opts`
+/// asks; a rank death in a membership world heals online (spare adoption
+/// and global rollback), and a failed attempt (typed communication error,
+/// never a panic) is retried from the latest complete checkpoint up to
+/// `opts.max_restarts` times.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     program: &StencilProgram,
@@ -886,6 +847,8 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     opts: &RunOptions,
     make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
 ) -> Result<(Grid<T>, CommStats)> {
+    // Lint gate (target-independent passes) before any rank spawns.
+    msc_lint::check_deny(program, None)?;
     // Scope the run to its session hub (if any) before the first
     // telemetry call below; rank threads re-install it at spawn.
     let _hub_guard = opts
@@ -894,6 +857,7 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
         .map(|h| msc_trace::install_thread_hub(Arc::clone(h)));
     let reach = program.stencil.reach();
     let decomp = exchanger.decomp().clone();
+    check_decomp(program, &decomp, bc)?;
     let sub = decomp.sub_extent();
     let plan = make_plan(&sub)?;
     if plan.grid != sub {
@@ -1085,7 +1049,7 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
 /// exchanges halos, and the step-to-step RMS update is reduced globally
 /// with [`crate::collectives::allreduce`]; all ranks stop together once
 /// it falls below `tol`. Returns the gathered state, the step count, and
-/// the final residual.
+/// the final residual. Lint-gated like [`run_distributed_opts`].
 pub fn run_distributed_until_converged<T: Scalar + Wire>(
     program: &StencilProgram,
     procs: &[usize],
@@ -1101,6 +1065,8 @@ pub fn run_distributed_until_converged<T: Scalar + Wire>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
+    // Lint gate (target-independent passes) before any rank spawns.
+    msc_lint::check_deny(program, None)?;
     let decomp = build_decomp(program, procs, bc)?;
     let sub = decomp.sub_extent();
     let plan = make_plan(&sub)?;
@@ -1121,7 +1087,7 @@ pub fn run_distributed_until_converged<T: Scalar + Wire>(
         decomp.n_ranks(),
         |mut ctx| -> Result<(Vec<T>, usize, f64)> {
             let local_init = scatter(seeded_ref, &decomp, ctx.rank);
-            let compiled = TieredStencil::compile(program, &local_init, msc_exec::exec_tier())?;
+            let compiled = TieredStencil::compile(program, &local_init, msc_exec::ExecTier::Auto)?;
             let window = WindowPlan::for_max_dt(compiled.max_dt)?;
             let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| local_init.clone()).collect();
             let mut steps = 0;
@@ -1186,7 +1152,7 @@ mod tests {
     use super::*;
     use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
     use msc_core::schedule::Schedule;
-    use msc_exec::driver::{run_program, Executor};
+    use msc_exec::driver::{run_program, run_program_tier, Executor};
 
     fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
         let mut s = Schedule::default();
@@ -1196,6 +1162,33 @@ mod tests {
         ExecPlan::lower(&s, sub.len(), sub)
     }
 
+    /// No chaos, no checkpoints, no restarts.
+    fn plain_opts() -> RunOptions {
+        RunOptions {
+            max_restarts: 0,
+            ..RunOptions::default()
+        }
+    }
+
+    /// A run over MSC's own halo exchanger on a `procs` process grid.
+    fn run_on(
+        p: &StencilProgram,
+        procs: &[usize],
+        init: &Grid<f64>,
+        bc: Boundary,
+        opts: &RunOptions,
+    ) -> Result<(Grid<f64>, CommStats)> {
+        let exchanger = HaloExchange::new(build_decomp(p, procs, bc)?);
+        run_distributed_opts(p, init, bc, &exchanger, None, opts, simple_plan)
+    }
+
+    /// The serial interpreter oracle under boundary `bc`.
+    fn serial(p: &StencilProgram, init: &Grid<f64>, bc: Boundary) -> Grid<f64> {
+        run_program_tier(p, &Executor::Reference, init, bc, msc_exec::ExecTier::Auto)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn distributed_2d_is_bit_identical_to_single_node() {
         let p = benchmark(BenchmarkId::S2d9ptBox)
@@ -1203,7 +1196,8 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
+        let (multi, stats) =
+            run_on(&p, &[2, 2], &init, Boundary::Dirichlet, &plain_opts()).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
         assert_eq!(stats.ranks, 4);
         assert!(stats.messages > 0);
@@ -1216,7 +1210,7 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 7);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, _) = run_distributed(&p, &[2, 1, 3], &init, simple_plan).unwrap();
+        let (multi, _) = run_on(&p, &[2, 1, 3], &init, Boundary::Dirichlet, &plain_opts()).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
@@ -1234,7 +1228,7 @@ mod tests {
                 2 => vec![2, 2],
                 _ => vec![2, 2, 1],
             };
-            let (multi, _) = run_distributed(&p, &procs, &init, simple_plan).unwrap();
+            let (multi, _) = run_on(&p, &procs, &init, Boundary::Dirichlet, &plain_opts()).unwrap();
             assert_eq!(single.as_slice(), multi.as_slice(), "{}", b.name);
         }
     }
@@ -1251,12 +1245,13 @@ mod tests {
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
         let decomp = build_decomp(&p, &[2, 1, 2], Boundary::Dirichlet).unwrap();
         let backend = HaloExchange::new(decomp);
-        let (multi, stats) = run_distributed_exec(
+        let (multi, stats) = run_distributed_opts(
             &p,
             &init,
             Boundary::Dirichlet,
             &backend,
             Some(1 << 20),
+            &plain_opts(),
             simple_plan,
         )
         .unwrap();
@@ -1275,8 +1270,8 @@ mod tests {
             .program(&[16, 16], DType::F64, 5)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
-        let (_, stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
-        // Only halo traffic flows in run_distributed, so the unified
+        let (_, stats) = run_on(&p, &[2, 2], &init, Boundary::Dirichlet, &plain_opts()).unwrap();
+        // Only halo traffic flows in a plain run, so the unified
         // counter must agree with the legacy message count.
         assert_eq!(stats.halo_messages(), stats.messages);
         assert!(stats.halo_bytes() > 0);
@@ -1301,12 +1296,13 @@ mod tests {
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
         let decomp = build_decomp(&p, &[1, 1, 1], Boundary::Dirichlet).unwrap();
         let backend = HaloExchange::new(decomp);
-        let r = run_distributed_exec(
+        let r = run_distributed_opts(
             &p,
             &init,
             Boundary::Dirichlet,
             &backend,
             Some(128), // absurdly small SPM
+            &plain_opts(),
             simple_plan,
         );
         assert!(r.is_err());
@@ -1370,44 +1366,39 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, stats) = run_distributed(&p, &[1, 1], &init, simple_plan).unwrap();
+        let (multi, stats) =
+            run_on(&p, &[1, 1], &init, Boundary::Dirichlet, &plain_opts()).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
         assert_eq!(stats.messages, 0);
     }
 
     #[test]
     fn periodic_distributed_matches_periodic_single_node() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[12, 18], DType::F64, 4)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 77);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
-        let (multi, _) =
-            run_distributed_bc(&p, &[2, 3], &init, Boundary::Periodic, simple_plan).unwrap();
+        let single = serial(&p, &init, Boundary::Periodic);
+        let (multi, _) = run_on(&p, &[2, 3], &init, Boundary::Periodic, &plain_opts()).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
     #[test]
     fn periodic_single_process_dimension_wraps_through_self_messages() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S3d7ptStar)
             .program(&[8, 8, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 9);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let single = serial(&p, &init, Boundary::Periodic);
         // procs = [1, 1, 2]: dims 0 and 1 wrap onto the same rank.
         let (multi, stats) =
-            run_distributed_bc(&p, &[1, 1, 2], &init, Boundary::Periodic, simple_plan).unwrap();
+            run_on(&p, &[1, 1, 2], &init, Boundary::Periodic, &plain_opts()).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
         assert!(stats.messages > 0);
     }
 
     #[test]
     fn periodic_averaging_conserves_mass() {
-        use msc_exec::driver::run_program_bc;
         // On a torus, a unit-coefficient-sum stencil loses nothing at the
         // boundary: the interior sum is invariant.
         let p = benchmark(BenchmarkId::S2d9ptStar)
@@ -1419,7 +1410,7 @@ mod tests {
             msc_exec::boundary::apply(&mut g, Boundary::Periodic);
             g.interior_sum()
         };
-        let (out, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let out = serial(&p, &init, Boundary::Periodic);
         let after = out.interior_sum();
         assert!(
             (before - after).abs() / before.abs() < 1e-12,
@@ -1439,8 +1430,16 @@ mod tests {
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
         let decomp = build_decomp(&p, &[2, 2], Boundary::Dirichlet).unwrap();
         let backend = FullNeighborExchange::new(decomp);
-        let (multi, stats) =
-            run_distributed_with(&p, &init, Boundary::Dirichlet, &backend, simple_plan).unwrap();
+        let (multi, stats) = run_distributed_opts(
+            &p,
+            &init,
+            Boundary::Dirichlet,
+            &backend,
+            None,
+            &plain_opts(),
+            simple_plan,
+        )
+        .unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
         // 2x2 grid: each rank has 3 neighbours (2 faces + 1 corner), so
         // 4 ranks x 3 msgs x (steps-1) rounds.
@@ -1450,18 +1449,24 @@ mod tests {
     #[test]
     fn gcl_style_backend_works_on_periodic_torus() {
         use crate::backend::FullNeighborExchange;
-        use msc_exec::driver::run_program_bc;
         use msc_exec::Boundary;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[12, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 51);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let single = serial(&p, &init, Boundary::Periodic);
         let decomp = build_decomp(&p, &[2, 2], Boundary::Periodic).unwrap();
         let backend = FullNeighborExchange::new(decomp);
-        let (multi, _) =
-            run_distributed_with(&p, &init, Boundary::Periodic, &backend, simple_plan).unwrap();
+        let (multi, _) = run_distributed_opts(
+            &p,
+            &init,
+            Boundary::Periodic,
+            &backend,
+            None,
+            &plain_opts(),
+            simple_plan,
+        )
+        .unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
@@ -1473,11 +1478,19 @@ mod tests {
             .program(&[12, 12, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 8);
-        let (a, sa) = run_distributed(&p, &[2, 2, 1], &init, simple_plan).unwrap();
+        let (a, sa) = run_on(&p, &[2, 2, 1], &init, Boundary::Dirichlet, &plain_opts()).unwrap();
         let decomp = build_decomp(&p, &[2, 2, 1], Boundary::Dirichlet).unwrap();
         let backend = FullNeighborExchange::new(decomp);
-        let (b, sb) =
-            run_distributed_with(&p, &init, Boundary::Dirichlet, &backend, simple_plan).unwrap();
+        let (b, sb) = run_distributed_opts(
+            &p,
+            &init,
+            Boundary::Dirichlet,
+            &backend,
+            None,
+            &plain_opts(),
+            simple_plan,
+        )
+        .unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
         // The GCL-style backend sends more messages (explicit corners).
         assert!(
@@ -1490,13 +1503,12 @@ mod tests {
 
     #[test]
     fn dirichlet_and_periodic_differ() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[10, 10], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 21);
-        let (a, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Dirichlet).unwrap();
-        let (b, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let a = serial(&p, &init, Boundary::Dirichlet);
+        let b = serial(&p, &init, Boundary::Periodic);
         assert_ne!(a.as_slice(), b.as_slice());
     }
 
@@ -1506,7 +1518,87 @@ mod tests {
             .program(&[10, 10], DType::F64, 2)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
-        assert!(run_distributed(&p, &[3, 1], &init, simple_plan).is_err());
+        assert!(run_on(&p, &[3, 1], &init, Boundary::Dirichlet, &plain_opts()).is_err());
+    }
+
+    #[test]
+    fn denied_program_is_rejected_before_any_rank_spawns() {
+        // Reads S[t-2] through a 2-state window (MSC-L201). Its halo
+        // matches its reach, so the decomposition builds and only the
+        // lint gate stands between the program and the ranks.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../lint/fixtures/window_shallow.deny.msc"
+        );
+        let source = std::fs::read_to_string(path).unwrap();
+        let p = msc_core::parse::parse_unchecked(&source).unwrap().program;
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
+        let decomp = build_decomp(&p, &[2, 1, 1], Boundary::Dirichlet).unwrap();
+        let exchanger = HaloExchange::new(decomp);
+        let planned = std::sync::atomic::AtomicBool::new(false);
+        let r = run_distributed_opts(
+            &p,
+            &init,
+            Boundary::Dirichlet,
+            &exchanger,
+            None,
+            &RunOptions::default(),
+            |sub| {
+                planned.store(true, std::sync::atomic::Ordering::Relaxed);
+                simple_plan(sub)
+            },
+        );
+        let err = r.unwrap_err().to_string();
+        assert!(err.contains("MSC-L201"), "{err}");
+        // The per-rank plan is built just before the world spawns.
+        assert!(
+            !planned.load(std::sync::atomic::Ordering::Relaxed),
+            "a denied program reached rank set-up"
+        );
+
+        // The convergence entry point is gated the same way.
+        let r = run_distributed_until_converged(
+            &p,
+            &[2, 1, 1],
+            &init,
+            Boundary::Dirichlet,
+            1e-6,
+            4,
+            |sub| {
+                planned.store(true, std::sync::atomic::Ordering::Relaxed);
+                simple_plan(sub)
+            },
+        );
+        let err = r.unwrap_err().to_string();
+        assert!(err.contains("MSC-L201"), "{err}");
+        assert!(
+            !planned.into_inner(),
+            "a denied program reached rank set-up"
+        );
+    }
+
+    #[test]
+    fn decomposition_must_match_boundary_and_program() {
+        let p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[8, 8], DType::F64, 2)
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
+        let run = |exchanger: &HaloExchange, bc: Boundary| {
+            run_distributed_opts(&p, &init, bc, exchanger, None, &plain_opts(), simple_plan)
+                .unwrap_err()
+                .to_string()
+        };
+        let dirichlet = HaloExchange::new(build_decomp(&p, &[2, 2], Boundary::Dirichlet).unwrap());
+        let periodic = HaloExchange::new(build_decomp(&p, &[2, 2], Boundary::Periodic).unwrap());
+        assert!(run(&dirichlet, Boundary::Periodic).contains("periodicity"));
+        assert!(run(&periodic, Boundary::Dirichlet).contains("periodicity"));
+        // A decomposition built for another program's grid.
+        let other = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[12, 12], DType::F64, 2)
+            .unwrap();
+        let foreign =
+            HaloExchange::new(build_decomp(&other, &[2, 2], Boundary::Dirichlet).unwrap());
+        assert!(run(&foreign, Boundary::Dirichlet).contains("global shape"));
     }
 
     #[test]
@@ -1522,8 +1614,7 @@ mod tests {
             }),
             ..RunOptions::default()
         };
-        let r =
-            run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, simple_plan);
+        let r = run_on(&p, &[2, 2], &init, Boundary::Dirichlet, &opts);
         assert!(matches!(r, Err(MscError::InvalidConfig(_))), "{r:?}");
     }
 
@@ -1544,9 +1635,7 @@ mod tests {
             heartbeat: Some(HeartbeatConfig::from_millis(1).unwrap()),
             ..RunOptions::default()
         };
-        let (multi, stats) =
-            run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, simple_plan)
-                .unwrap();
+        let (multi, stats) = run_on(&p, &[2, 2], &init, Boundary::Dirichlet, &opts).unwrap();
         assert_eq!(single.as_slice(), multi.as_slice());
         assert_eq!(stats.recoveries, 0);
         assert_eq!(stats.restarts, 0);

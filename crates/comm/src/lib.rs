@@ -41,9 +41,7 @@ pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore
 pub use collectives::{allreduce, barrier, broadcast, ReduceOp};
 pub use decomp::CartDecomp;
 pub use distributed::{
-    build_decomp, run_distributed, run_distributed_bc, run_distributed_exec,
-    run_distributed_opts, run_distributed_resilient, run_distributed_until_converged,
-    run_distributed_with, CommStats, RunOptions,
+    build_decomp, run_distributed_opts, run_distributed_until_converged, CommStats, RunOptions,
 };
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};

@@ -8,16 +8,19 @@
 //! are exact, not statistical.
 
 use msc_comm::{
-    build_decomp, run_distributed, run_distributed_opts, run_distributed_resilient,
-    FaultPlan, FullNeighborExchange, HaloExchange, ReliabilityConfig, RunOptions,
+    build_decomp, run_distributed_opts, CommStats, FaultAction, FaultPlan, FullNeighborExchange,
+    HaloExchange, ReliabilityConfig, RunOptions,
 };
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
 use msc_core::schedule::plan::ExecPlan;
 use msc_core::schedule::Schedule;
-use msc_exec::driver::{run_program, Executor};
-use msc_exec::{Boundary, Grid};
+use msc_exec::driver::{run_program, run_program_tier, Executor};
+use msc_exec::{Boundary, ExecTier, Grid};
+use msc_trace::recorder::RING_CAPACITY;
+use msc_trace::{FlightKind, TelemetryHub};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,6 +62,25 @@ fn chaos_opts(seed: u64) -> RunOptions {
     }
 }
 
+/// No chaos, no checkpoints, no restarts.
+fn plain_opts() -> RunOptions {
+    RunOptions {
+        max_restarts: 0,
+        ..RunOptions::default()
+    }
+}
+
+/// A run over a 2x2 process grid on MSC's own halo exchanger.
+fn run_2x2(
+    p: &StencilProgram,
+    init: &Grid<f64>,
+    bc: Boundary,
+    opts: &RunOptions,
+) -> Result<(Grid<f64>, CommStats)> {
+    let exchanger = HaloExchange::new(build_decomp(p, &[2, 2], bc)?);
+    run_distributed_opts(p, init, bc, &exchanger, None, opts, simple_plan)
+}
+
 fn ckpt_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("msc_chaos_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -76,16 +98,8 @@ fn chaotic_run_is_bit_identical_to_fault_free() {
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
     let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-    let (plain, _) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
-    let (chaotic, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &chaos_opts(1337),
-        simple_plan,
-    )
-    .unwrap();
+    let (plain, _) = run_2x2(&p, &init, Boundary::Dirichlet, &plain_opts()).unwrap();
+    let (chaotic, stats) = run_2x2(&p, &init, Boundary::Dirichlet, &chaos_opts(1337)).unwrap();
     assert_eq!(single.as_slice(), chaotic.as_slice());
     assert_eq!(plain.as_slice(), chaotic.as_slice());
     // The chaos must actually have happened — and been healed.
@@ -119,35 +133,74 @@ fn chaotic_gcl_backend_is_bit_identical_too() {
     assert!(stats.faults_injected() > 0);
 }
 
-#[test]
-fn same_seed_same_fault_schedule_different_seed_differs() {
-    // Determinism of the injector at the system level: two runs with the
-    // same seed inject exactly the same number of faults; a different
-    // seed gives a different schedule (counted over the same traffic).
+/// A data frame's identity on the wire: (src, dst, tag, seq).
+type FrameId = (u32, u32, u64, u64);
+
+/// One chaos run's first-transmission traffic, and the frames among it
+/// whose first transmission the injector hit, read back from the run's
+/// flight recorder. A first-transmission fault is a `FaultInjected`
+/// record directly after the `Send` of the same frame on the sending
+/// rank; a fault on a retransmission follows a `Retransmit` record
+/// instead, so resends (whose number depends on timing) are left out.
+fn first_transmissions(seed: u64) -> (BTreeSet<FrameId>, BTreeSet<FrameId>) {
     let p = benchmark(BenchmarkId::S2d9ptStar)
         .program(&[12, 12], DType::F64, 5)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
-    let run = |seed: u64| {
-        let (_, stats) = run_distributed_resilient(
-            &p,
-            &[2, 2],
-            &init,
-            Boundary::Dirichlet,
-            &chaos_opts(seed),
-            simple_plan,
-        )
-        .unwrap();
-        stats.faults_injected()
+    let hub = TelemetryHub::new();
+    let opts = RunOptions {
+        hub: Some(Arc::clone(&hub)),
+        ..chaos_opts(seed)
     };
-    let a1 = run(11);
-    let a2 = run(11);
-    let b = run(12);
+    run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap();
+    let records = hub.snapshot_flight();
+    let (mut sent, mut faulted) = (BTreeSet::new(), BTreeSet::new());
+    for rank in 0..4 {
+        let mine: Vec<_> = records.iter().filter(|r| r.rank == rank).collect();
+        assert!(mine.len() < RING_CAPACITY, "rank {rank}'s flight ring wrapped");
+        for (i, r) in mine.iter().enumerate() {
+            let id = (r.src, r.dst, r.tag, r.seq);
+            match r.kind {
+                FlightKind::Send => {
+                    sent.insert(id);
+                }
+                FlightKind::FaultInjected if i > 0 => {
+                    let prev = mine[i - 1];
+                    let prev_id = (prev.src, prev.dst, prev.tag, prev.seq);
+                    if prev.kind == FlightKind::Send && prev_id == id {
+                        faulted.insert(id);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    (sent, faulted)
+}
+
+#[test]
+fn same_seed_same_fault_schedule_different_seed_differs() {
+    // Determinism of the injector at the system level. Which frames are
+    // hit on their first transmission is a pure function of the seed and
+    // the traffic; the total fault count is not, since it also counts
+    // faults on timing-dependent retransmissions.
+    let (sent, a1) = first_transmissions(11);
+    let plan = lossy_plan(11);
+    let predicted: BTreeSet<FrameId> = sent
+        .iter()
+        .copied()
+        .filter(|&(src, dst, tag, seq)| {
+            plan.decide(src as usize, dst as usize, tag, seq, 0) != FaultAction::Deliver
+        })
+        .collect();
+    assert!(!a1.is_empty(), "no first-transmission faults injected");
+    assert_eq!(a1, predicted, "the runtime must inject the seeded schedule");
+    let (sent2, a2) = first_transmissions(11);
+    assert_eq!(sent, sent2, "first-transmission traffic is fixed by the program");
     assert_eq!(a1, a2, "same seed must give the same schedule");
-    assert!(a1 > 0);
-    // First-transmission traffic is identical, so a differing injection
-    // count demonstrates a differing schedule. (Equal counts with a
-    // different pattern are possible in principle; these seeds differ.)
+    // Same traffic, different seed: the schedules must differ.
+    let (sent_b, b) = first_transmissions(12);
+    assert_eq!(sent, sent_b);
     assert_ne!(a1, b, "different seeds should differ on this workload");
 }
 
@@ -172,15 +225,7 @@ fn killed_rank_restarts_from_checkpoint_and_matches_golden() {
         max_restarts: 2,
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap();
     assert_eq!(golden.as_slice(), out.as_slice());
     assert_eq!(stats.restarts, 1, "the kill must have forced one restart");
     assert!(stats.checkpoint_bytes() > 0, "checkpoints must have been written");
@@ -201,15 +246,7 @@ fn kill_without_checkpoints_restarts_from_scratch() {
         reliability: fast_reliability(),
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap();
     assert_eq!(golden.as_slice(), out.as_slice());
     assert_eq!(stats.restarts, 1);
     assert_eq!(stats.checkpoint_bytes(), 0);
@@ -230,15 +267,7 @@ fn kill_with_exhausted_restart_budget_is_a_typed_error() {
         max_restarts: 0,
         ..RunOptions::default()
     };
-    let err = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap_err();
+    let err = run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("communication failure"), "{msg}");
 }
@@ -247,43 +276,33 @@ fn kill_with_exhausted_restart_budget_is_a_typed_error() {
 fn periodic_chaos_run_matches_periodic_single_node() {
     // Torus topology + chaos: wraparound self-messages go through the
     // same injector and reliability protocol.
-    use msc_exec::driver::run_program_bc;
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[12, 12], DType::F64, 3)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 51);
-    let (single, _) =
-        run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
-    let (multi, _) = run_distributed_resilient(
+    let (single, _) = run_program_tier(
         &p,
-        &[2, 2],
+        &Executor::Reference,
         &init,
         Boundary::Periodic,
-        &chaos_opts(77),
-        simple_plan,
+        ExecTier::Auto,
     )
     .unwrap();
+    let (multi, _) = run_2x2(&p, &init, Boundary::Periodic, &chaos_opts(77)).unwrap();
     assert_eq!(single.as_slice(), multi.as_slice());
 }
 
 #[test]
 fn resilient_defaults_degenerate_to_plain_run() {
-    // With no chaos and no checkpoints the resilient entry point is the
-    // plain driver: same bits, same message count, no protocol overhead.
+    // With no chaos and no checkpoints, the default options (a restart
+    // budget) run exactly the plain driver: same bits, same message
+    // count, no protocol overhead.
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[16, 16], DType::F64, 5)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
-    let (plain, plain_stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
-    let (res, res_stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &RunOptions::default(),
-        simple_plan,
-    )
-    .unwrap();
+    let (plain, plain_stats) = run_2x2(&p, &init, Boundary::Dirichlet, &plain_opts()).unwrap();
+    let (res, res_stats) = run_2x2(&p, &init, Boundary::Dirichlet, &RunOptions::default()).unwrap();
     assert_eq!(plain.as_slice(), res.as_slice());
     assert_eq!(plain_stats.messages, res_stats.messages);
     assert_eq!(res_stats.faults_injected(), 0);
@@ -306,8 +325,7 @@ fn checkpoint_files_use_grid_format_and_resume_step() {
         checkpoint_every: 2,
         ..RunOptions::default()
     };
-    run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, simple_plan)
-        .unwrap();
+    run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap();
     let store = msc_comm::CheckpointStore::new(&dir, 4).unwrap();
     let latest = store.latest_complete().expect("a complete checkpoint");
     assert_eq!(latest, 4, "steps 2 and 4 checkpointed; 4 is latest");
@@ -346,15 +364,7 @@ fn chaos_timeout_dumps_flight_recorder_json() {
         max_restarts: 0,
         ..RunOptions::default()
     };
-    let err = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap_err();
+    let err = run_2x2(&p, &init, Boundary::Dirichlet, &opts).unwrap_err();
     msc_trace::set_flight_dump_dir(None);
     assert!(err.to_string().contains("communication failure"), "{err}");
 

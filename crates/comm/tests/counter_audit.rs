@@ -8,7 +8,7 @@
 //! are process-wide, so the tracing-enabled assertions below would race
 //! any concurrently running test that also records counters.
 
-use msc_comm::{run_distributed_resilient, CommStats, RunOptions};
+use msc_comm::{build_decomp, run_distributed_opts, CommStats, HaloExchange, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
@@ -38,7 +38,8 @@ fn run(opts: &RunOptions) -> (Grid<f64>, CommStats) {
         .program(&[8, 8], DType::F64, STEPS)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 77);
-    run_distributed_resilient(&p, &[RANKS, 1], &init, Boundary::Dirichlet, opts, plan_halves)
+    let exchanger = HaloExchange::new(build_decomp(&p, &[RANKS, 1], Boundary::Dirichlet).unwrap());
+    run_distributed_opts(&p, &init, Boundary::Dirichlet, &exchanger, None, opts, plan_halves)
         .unwrap()
 }
 

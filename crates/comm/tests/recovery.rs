@@ -9,7 +9,8 @@
 //! *latency* is wall-clock dependent, never the recovered numerics.
 
 use msc_comm::{
-    run_distributed_resilient, FaultPlan, HeartbeatConfig, ReliabilityConfig, RunOptions,
+    build_decomp, run_distributed_opts, CommStats, FaultPlan, HaloExchange, HeartbeatConfig,
+    ReliabilityConfig, RunOptions,
 };
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
@@ -29,6 +30,16 @@ fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
     s.tile(&tile);
     s.parallel("xo", 2);
     ExecPlan::lower(&s, sub.len(), sub)
+}
+
+/// A run over a 2x2 process grid on MSC's own halo exchanger.
+fn run_2x2(
+    p: &StencilProgram,
+    init: &Grid<f64>,
+    opts: &RunOptions,
+) -> Result<(Grid<f64>, CommStats)> {
+    let exchanger = HaloExchange::new(build_decomp(p, &[2, 2], Boundary::Dirichlet)?);
+    run_distributed_opts(p, init, Boundary::Dirichlet, &exchanger, None, opts, simple_plan)
 }
 
 fn fast_reliability() -> ReliabilityConfig {
@@ -69,15 +80,7 @@ fn run_killed_with_spare(tier: ExecTier) -> (Grid<f64>, msc_comm::CommStats, Gri
         tier,
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, &opts).unwrap();
     (out, stats, golden)
 }
 
@@ -136,15 +139,7 @@ fn kill_before_first_snapshot_recovers_from_initial_state() {
         heartbeat: Some(fast_heartbeat()),
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, &opts).unwrap();
     assert_eq!(golden.as_slice(), out.as_slice());
     assert_eq!(stats.restarts, 0);
     assert!(stats.recoveries >= 1);
@@ -172,15 +167,7 @@ fn heartbeat_without_spares_falls_back_to_disk_restart() {
         heartbeat: Some(fast_heartbeat()),
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, &opts).unwrap();
     assert_eq!(golden.as_slice(), out.as_slice());
     assert_eq!(stats.restarts, 1, "no spare: the kill must force a restart");
     assert_eq!(stats.recoveries, 0, "nothing was healed online");
@@ -211,15 +198,7 @@ fn recovery_composes_with_channel_chaos() {
         heartbeat: Some(fast_heartbeat()),
         ..RunOptions::default()
     };
-    let (out, stats) = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap();
+    let (out, stats) = run_2x2(&p, &init, &opts).unwrap();
     assert_eq!(golden.as_slice(), out.as_slice());
     assert_eq!(stats.restarts, 0);
     assert!(stats.recoveries >= 1);

@@ -59,10 +59,10 @@ pub fn run_until_converged<T: Scalar>(
         ));
     }
     // Reference executor stays on the interpreter oracle; the tiled path
-    // follows the process-wide tier default.
+    // takes the fastest applicable tier (all tiers are bit-identical).
     let tier = match executor {
         Executor::Reference | Executor::Spm { .. } => crate::tier::ExecTier::Interp,
-        _ => crate::tier::exec_tier(),
+        _ => crate::tier::ExecTier::Auto,
     };
     let compiled = TieredStencil::compile(program, init, tier)?;
     let mut ring = WindowRing::new(init, bc, compiled.max_dt)?;

@@ -6,7 +6,7 @@ use std::borrow::Cow;
 
 use crate::boundary::{self, Boundary};
 use crate::grid::{Grid, Scalar};
-use crate::tier::{exec_tier, ExecTier, TieredStencil};
+use crate::tier::{ExecTier, TieredStencil};
 use crate::{reference, spm, tiled};
 use msc_core::error::Result;
 use msc_core::prelude::*;
@@ -162,27 +162,14 @@ pub fn run_program<T: Scalar>(
     executor: &Executor,
     init: &Grid<T>,
 ) -> Result<(Grid<T>, RunStats)> {
-    run_program_bc(program, executor, init, Boundary::Dirichlet)
+    run_program_tier(program, executor, init, Boundary::Dirichlet, ExecTier::Auto)
 }
 
-/// Like [`run_program`] with an explicit boundary condition: periodic
-/// runs re-wrap the halo of every freshly computed state. Runs on the
-/// process-wide default execution tier ([`set_exec_tier`]).
-///
-/// [`set_exec_tier`]: crate::tier::set_exec_tier
-pub fn run_program_bc<T: Scalar>(
-    program: &StencilProgram,
-    executor: &Executor,
-    init: &Grid<T>,
-    boundary_cond: Boundary,
-) -> Result<(Grid<T>, RunStats)> {
-    run_program_tier(program, executor, init, boundary_cond, exec_tier())
-}
-
-/// Like [`run_program_bc`] with an explicit execution tier. The
-/// `Reference` executor always interprets (it is the oracle the other
-/// tiers are differenced against), as does the SPM executor (its tap
-/// lists are relinearized against tile-local layouts).
+/// Like [`run_program`] with an explicit boundary condition and
+/// execution tier: periodic runs re-wrap the halo of every freshly
+/// computed state. The `Reference` executor always interprets (it is the
+/// oracle the other tiers are differenced against), as does the SPM
+/// executor (its tap lists are relinearized against tile-local layouts).
 pub fn run_program_tier<T: Scalar>(
     program: &StencilProgram,
     executor: &Executor,

@@ -46,9 +46,9 @@ pub mod verify;
 pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
 pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport};
-pub use driver::{run_program, run_program_bc, run_program_tier, Executor, RunStats};
+pub use driver::{run_program, run_program_tier, Executor, RunStats};
 pub use specialized::SpecializedStencil;
-pub use tier::{exec_tier, set_exec_tier, ActiveTier, ExecTier, TieredStencil};
+pub use tier::{ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
 pub use temporal::{run_temporal_tiled, TemporalStats};
 pub use varcoeff::CompiledVarStencil;

@@ -55,6 +55,7 @@ pub mod counters;
 pub mod export;
 pub mod histogram;
 pub mod hub;
+mod hub_cache;
 pub mod openmetrics;
 pub mod profile;
 pub mod ranks;

@@ -20,6 +20,7 @@
 //! record half-written, which is acceptable for a diagnostic artifact
 //! and is data-race-free by construction.
 
+use crate::hub_cache::{HubCache, Recycle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -156,8 +157,10 @@ impl Registry {
         }
     }
 
-    fn register(&self) -> Arc<Ring> {
-        let ring = Arc::new(Ring::new());
+    /// Add the calling thread's ring: `spare` (a cleared ring of a
+    /// dropped hub) if given, else a new one.
+    fn register(&self, spare: Option<Arc<Ring>>) -> Arc<Ring> {
+        let ring = spare.unwrap_or_else(|| Arc::new(Ring::new()));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
         ring
     }
@@ -180,10 +183,22 @@ impl Registry {
     }
 }
 
+impl Recycle for Ring {
+    fn clear(&mut self) {
+        *self.head.get_mut() = 0;
+    }
+}
+
 thread_local! {
     /// This thread's rings, one per hub it has recorded into.
-    static RING_CACHE: std::cell::RefCell<Vec<(u64, Arc<Ring>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static RING_CACHE: std::cell::RefCell<HubCache<Ring>> =
+        const { std::cell::RefCell::new(HubCache::new()) };
+}
+
+/// Entries in the calling thread's ring cache.
+#[cfg(test)]
+pub(crate) fn cached_rings() -> usize {
+    RING_CACHE.with(|c| c.borrow().len())
 }
 
 /// Rank value stored for threads outside any rank (fits the 16-bit
@@ -215,14 +230,9 @@ pub(crate) fn push_flight(
         seq,
     };
     RING_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some((_, ring)) = cache.iter().find(|(id, _)| *id == hub.id()) {
-            ring.push(rec);
-            return;
-        }
-        let ring = hub.flight.register();
-        ring.push(rec);
-        cache.push((hub.id(), ring));
+        c.borrow_mut()
+            .get(hub.id(), |spare| hub.flight.register(spare))
+            .push(rec)
     });
 }
 

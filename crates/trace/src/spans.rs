@@ -11,6 +11,7 @@
 //! saturation is visible, not silent.
 
 use crate::counters::enabled;
+use crate::hub_cache::{HubCache, Recycle};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -130,10 +131,19 @@ impl Registry {
         }
     }
 
-    fn register(&self) -> Arc<ThreadBuf> {
-        let buf = Arc::new(ThreadBuf::new(
-            self.next_thread.fetch_add(1, Ordering::Relaxed),
-        ));
+    /// Add the calling thread's buffer: `spare` (a cleared buffer of a
+    /// dropped hub) if given, else a new one.
+    fn register(&self, spare: Option<Arc<ThreadBuf>>) -> Arc<ThreadBuf> {
+        let thread = self.next_thread.fetch_add(1, Ordering::Relaxed);
+        let buf = match spare {
+            Some(mut buf) => {
+                Arc::get_mut(&mut buf)
+                    .expect("a recycled buffer is unshared")
+                    .thread = thread;
+                buf
+            }
+            None => Arc::new(ThreadBuf::new(thread)),
+        };
         self.bufs.lock().unwrap().push(Arc::clone(&buf));
         buf
     }
@@ -164,11 +174,17 @@ impl Registry {
     }
 }
 
+impl Recycle for ThreadBuf {
+    fn clear(&mut self) {
+        *self.len.get_mut() = 0;
+        *self.dropped.get_mut() = 0;
+    }
+}
+
 thread_local! {
-    /// This thread's buffers, one per hub it has recorded spans into
-    /// (keyed by hub id; a linear scan — a thread touches 1–2 hubs).
-    static BUF_CACHE: std::cell::RefCell<Vec<(u64, Arc<ThreadBuf>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// This thread's buffers, one per hub it has recorded spans into.
+    static BUF_CACHE: std::cell::RefCell<HubCache<ThreadBuf>> =
+        const { std::cell::RefCell::new(HubCache::new()) };
     static CURRENT_RANK: std::cell::Cell<u32> = const { std::cell::Cell::new(NO_RANK) };
 }
 
@@ -176,15 +192,16 @@ thread_local! {
 /// buffer on first use.
 pub(crate) fn push_record(hub: &crate::TelemetryHub, rec: SpanRecord) {
     BUF_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some((_, buf)) = cache.iter().find(|(id, _)| *id == hub.id()) {
-            buf.push(rec);
-            return;
-        }
-        let buf = hub.spans.register();
-        buf.push(rec);
-        cache.push((hub.id(), buf));
+        c.borrow_mut()
+            .get(hub.id(), |spare| hub.spans.register(spare))
+            .push(rec)
     });
+}
+
+/// Entries in the calling thread's buffer cache.
+#[cfg(test)]
+pub(crate) fn cached_buffers() -> usize {
+    BUF_CACHE.with(|c| c.borrow().len())
 }
 
 /// Tag every record made on the calling thread with `rank` from now on.

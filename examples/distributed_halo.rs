@@ -16,13 +16,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (single, _) = run_program(&program, &Executor::Reference, &init)?;
 
-    let (multi, stats) = run_distributed(&program, &[2, 3], &init, |sub| {
-        let mut s = Schedule::default();
-        let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
-        s.tile(&tile);
-        s.parallel("xo", 2);
-        ExecPlan::lower(&s, sub.len(), sub)
-    })?;
+    let exchanger = HaloExchange::new(build_decomp(&program, &[2, 3], Boundary::Dirichlet)?);
+    let (multi, stats) = run_distributed_opts(
+        &program,
+        &init,
+        Boundary::Dirichlet,
+        &exchanger,
+        None,
+        &RunOptions {
+            max_restarts: 0,
+            ..RunOptions::default()
+        },
+        |sub| {
+            let mut s = Schedule::default();
+            let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+            s.tile(&tile);
+            s.parallel("xo", 2);
+            ExecPlan::lower(&s, sub.len(), sub)
+        },
+    )?;
 
     println!(
         "{} ranks exchanged {} messages over {} steps",

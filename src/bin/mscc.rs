@@ -35,10 +35,13 @@
 
 use msc::bench::results::Json;
 use msc::bench::suite;
-use msc::comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
+use msc::comm::{
+    build_decomp, run_distributed_opts, FaultPlan, HaloExchange, HeartbeatConfig, RunOptions,
+};
 use msc::core::analysis::StencilStats;
 use msc::core::schedule::ExecPlan;
 use msc::prelude::*;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -70,10 +73,8 @@ execution:
       --simulate           print the predicted time on the target machine model
       --stats              print static kernel statistics
       --autoschedule       pick tiles/stream/tile_time automatically
-      --pool-threads N     cap the persistent worker pool at N threads;
-                           0 disables the pool and respawns worker threads
-                           every step (the pre-pool scheduler). Default:
-                           pool on, width decided by the plan
+      --pool-threads N     cap the persistent worker pool at N >= 1
+                           threads (default: width decided by the plan)
 
 distributed:
       --procs PxQ[xR]      run over a process grid (e.g. 2x2), verified
@@ -192,8 +193,8 @@ struct Args {
     spare_ranks: usize,
     heartbeat_ms: Option<u64>,
     flight_dir: Option<PathBuf>,
-    pool_threads: Option<usize>,
-    exec_tier: msc::exec::ExecTier,
+    pool_threads: Option<NonZeroUsize>,
+    tier: msc::exec::ExecTier,
     metrics_file: Option<PathBuf>,
     metrics_interval_ms: Option<u64>,
 }
@@ -550,7 +551,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut heartbeat_ms = None;
     let mut flight_dir = None;
     let mut pool_threads = None;
-    let mut exec_tier = msc::exec::ExecTier::Auto;
+    let mut tier = msc::exec::ExecTier::Auto;
     let mut metrics_file = None;
     let mut metrics_interval_ms = None;
     while let Some(a) = argv.next() {
@@ -641,17 +642,18 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
             "--exec-tier" => {
                 let t = argv.next().ok_or("missing tier after --exec-tier")?;
-                exec_tier = msc::exec::ExecTier::parse(&t).ok_or(format!(
+                tier = msc::exec::ExecTier::parse(&t).ok_or(format!(
                     "unknown exec tier `{t}` (try auto, interp, vm, specialized)"
                 ))?;
             }
             "--pool-threads" => {
-                pool_threads = Some(
-                    argv.next()
-                        .ok_or("missing thread count after --pool-threads")?
-                        .parse()
-                        .map_err(|_| "bad thread count after --pool-threads".to_string())?,
-                )
+                let n: usize = argv
+                    .next()
+                    .ok_or("missing thread count after --pool-threads")?
+                    .parse()
+                    .map_err(|_| "bad thread count after --pool-threads".to_string())?;
+                pool_threads =
+                    Some(NonZeroUsize::new(n).ok_or("--pool-threads must be at least 1")?)
             }
             "-h" | "--help" => return Ok(Cli::Help),
             other if input.is_none() && !other.starts_with('-') => {
@@ -683,7 +685,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cli, String> {
         heartbeat_ms,
         flight_dir,
         pool_threads,
-        exec_tier,
+        tier,
         metrics_file,
         metrics_interval_ms,
     })))
@@ -1085,13 +1087,7 @@ fn drive_lift(args: LiftArgs) -> Result<(), Box<dyn std::error::Error>> {
     if args.run {
         let grid = &lifted.program.grid;
         let init: msc::exec::Grid<f64> = msc::exec::Grid::random(&grid.shape, &grid.halo, 42);
-        let (out, stats) = msc::exec::run_program_tier(
-            &lifted.program,
-            &msc::exec::driver::Executor::Reference,
-            &init,
-            msc::exec::Boundary::Dirichlet,
-            msc::exec::ExecTier::Auto,
-        )?;
+        let (out, stats) = run_program(&lifted.program, &Executor::Reference, &init)?;
         println!(
             "ran `{name}`: {} step(s), {} tile(s), interior sum {:.6e}",
             stats.steps,
@@ -1151,10 +1147,6 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = args.pool_threads {
         msc::exec::pool::set_pool_threads(n);
     }
-
-    // Tier selection for every execution path in this invocation; the
-    // distributed branch also carries it explicitly through RunOptions.
-    msc::exec::set_exec_tier(args.exec_tier);
 
     println!(
         "compiled `{}`: {}D grid {:?}, {} kernels, window {}, {} timesteps, target {}",
@@ -1252,7 +1244,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         || args.checkpoint_every > 0
         || args.spare_ranks > 0
         || args.heartbeat_ms.is_some();
-    if distributed {
+    let ran = if distributed {
         let ndim = program.grid.ndim();
         let procs = match &args.procs {
             Some(p) if p.len() == ndim => p.clone(),
@@ -1268,7 +1260,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         };
         let mut opts = RunOptions {
-            tier: args.exec_tier,
+            tier: args.tier,
             hub: session_hub.clone(),
             ..RunOptions::default()
         };
@@ -1306,11 +1298,13 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
         let t0 = std::time::Instant::now();
-        let (out, stats) = run_distributed_resilient(
+        let exchanger = HaloExchange::new(build_decomp(&program, &procs, Boundary::Dirichlet)?);
+        let (out, stats) = run_distributed_opts(
             &program,
-            &procs,
             &init,
             Boundary::Dirichlet,
+            &exchanger,
+            None,
             &opts,
             |sub| {
                 let mut s = msc::core::schedule::Schedule::default();
@@ -1340,15 +1334,6 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             stats.checkpoint_bytes(),
             out.interior_sum()
         );
-        let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
-        if out.as_slice() != reference.as_slice() {
-            return Err(format!(
-                "distributed result differs from serial reference (max rel err {:.2e})",
-                max_rel_error(&out, &reference)
-            )
-            .into());
-        }
-        println!("verified vs serial reference: bit-identical");
         if tracing {
             // CommStats carries the authoritative counters and latency
             // histograms (merged across ranks by the driver); the global
@@ -1378,10 +1363,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
                 msc::trace::reset();
             }
         }
-        if let Some(path) = &args.dump {
-            msc::exec::io::save(&out, path)?;
-            println!("dumped final state to {}", path.display());
-        }
+        Some((out, init))
     } else if args.run {
         let tracing = args.profile || args.trace.is_some();
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
@@ -1392,7 +1374,13 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             msc::trace::set_enabled(true);
         }
         let t0 = std::time::Instant::now();
-        let (out, stats) = run_program(&program, &Executor::Tiled(plan), &init)?;
+        let (out, stats) = run_program_tier(
+            &program,
+            &Executor::Tiled(plan),
+            &init,
+            Boundary::Dirichlet,
+            args.tier,
+        )?;
         let dt = t0.elapsed();
         if tracing {
             msc::trace::set_enabled(false);
@@ -1428,11 +1416,22 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
                 msc::trace::reset();
             }
         }
+        Some((out, init))
+    } else {
+        None
+    };
+    if let Some((out, init)) = ran {
+        // Every tier and every process grid must reproduce the serial
+        // interpreter oracle bit for bit.
         let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
-        println!(
-            "verified vs serial reference: max rel err {:.2e}",
-            max_rel_error(&out, &reference)
-        );
+        if out.as_slice() != reference.as_slice() {
+            return Err(format!(
+                "result differs from the serial reference (max rel err {:.2e})",
+                max_rel_error(&out, &reference)
+            )
+            .into());
+        }
+        println!("verified vs serial reference: bit-identical");
         if let Some(path) = &args.dump {
             msc::exec::io::save(&out, path)?;
             println!("dumped final state to {}", path.display());

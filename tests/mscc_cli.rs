@@ -24,7 +24,7 @@ fn compiles_run_verifies_and_emits() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("compiled `wave2d`"));
-    assert!(stdout.contains("verified vs serial reference: max rel err 0.00e0"));
+    assert!(stdout.contains("verified vs serial reference: bit-identical"));
     // The banner names the row ISA the specialized tier ran on.
     let isa = msc::exec::specialized::row_isa();
     assert!(stdout.contains(&format!("specialized tier, {isa} rows")), "{stdout}");
@@ -542,10 +542,23 @@ fn exec_tier_selects_the_vm_and_reports_it() {
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("vm tier"), "{stdout}");
     assert!(
-        stdout.contains("verified vs serial reference: max rel err 0.00e0"),
+        stdout.contains("verified vs serial reference: bit-identical"),
         "{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_pool_threads_is_a_clean_error() {
+    let out = mscc()
+        .arg(dsl("wave2d.msc"))
+        .args(["--run", "--pool-threads", "0"])
+        .output()
+        .expect("mscc runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--pool-threads must be at least 1"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! still heals and verifies bit-identical against the serial reference.
 
 use msc::bench::results::Json;
-use msc::comm::{run_distributed_resilient, FaultPlan, RunOptions};
+use msc::comm::{build_decomp, run_distributed_opts, FaultPlan, HaloExchange, RunOptions};
 use msc::prelude::*;
 use msc::trace::{openmetrics, Sampler, SamplerConfig, TelemetryHub};
 use std::sync::Arc;
@@ -56,9 +56,17 @@ fn chaos_kill_run_emits_valid_metrics_and_alert() {
         hub: Some(Arc::clone(&hub)),
         ..RunOptions::default()
     };
-    let (out, stats) =
-        run_distributed_resilient(&p, &[2, 1, 1], &init, Boundary::Dirichlet, &opts, sub_plan)
-            .unwrap();
+    let exchanger = HaloExchange::new(build_decomp(&p, &[2, 1, 1], Boundary::Dirichlet).unwrap());
+    let (out, stats) = run_distributed_opts(
+        &p,
+        &init,
+        Boundary::Dirichlet,
+        &exchanger,
+        None,
+        &opts,
+        sub_plan,
+    )
+    .unwrap();
     assert_eq!(
         out.as_slice(),
         reference.as_slice(),
